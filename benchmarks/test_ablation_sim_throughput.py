@@ -147,7 +147,7 @@ def _measure_policy_grid() -> dict:
     """Grid-search throughput on the PR 3 policy layer.
 
     Runs a mixed grid (all four built-in policy families) over the
-    multi-day library scenario on the serial and thread backends; the
+    multi-day library scenario on the serial and process backends; the
     outcomes must be identical, and the ranking must cover at least
     three distinct policies — the regression tripwire for the
     ``repro search`` path.
@@ -164,12 +164,12 @@ def _measure_policy_grid() -> dict:
     ]
     timings = {}
     results = {}
-    for backend, workers in (("serial", 1), ("thread", 4)):
+    for backend, workers in (("serial", 1), ("process", 4)):
         runner = ScenarioRunner(workers=workers, backend=backend)
         t0 = time.perf_counter()
         results[backend] = runner.run_grid(scenario, grids)
         timings[backend] = time.perf_counter() - t0
-    serial, threaded = results["serial"], results["thread"]
+    serial, process = results["serial"], results["process"]
     points = len(serial.entries)
     return {
         "scenario": scenario.name,
@@ -179,7 +179,7 @@ def _measure_policy_grid() -> dict:
         **{f"{b}_points_per_s": round(points / t, 2)
            for b, t in timings.items()},
         "backends_identical": ([e.outcome for e in serial.entries]
-                               == [e.outcome for e in threaded.entries]),
+                               == [e.outcome for e in process.entries]),
         "best": serial.best.label,
     }
 
@@ -189,8 +189,8 @@ def _measure_fleet() -> tuple[dict, str]:
 
     Runs a seeded 100-wearer, 7-day jittered fleet (16 x 2 in quick
     mode) on the serial and process backends.  The canonical
-    ``FleetResult`` payloads must be byte-identical — sampling happens
-    in the parent and the per-wearer specs ship as JSON, so any
+    ``FleetResult`` payloads must be byte-identical — every wearer is
+    sampled from its own ``seed + index`` wherever it runs, so any
     divergence is a determinism regression, not noise.
 
     Also returns the serial canonical payload, the oracle the vector
@@ -310,7 +310,7 @@ def _measure_fleet_grid() -> dict:
     """Fleet-level policy grid search + sharded merge (PR 5 paths).
 
     Runs an eight-candidate grid (three policy families) over a
-    seeded jittered fleet on the serial and thread backends — the
+    seeded jittered fleet on the serial and process backends — the
     ``repro fleet search`` path.  The canonical ``FleetGridResult``
     payloads must be byte-identical across backends, and a 3-way
     sharded run of the same fleet must merge to the exact unsharded
@@ -343,7 +343,7 @@ def _measure_fleet_grid() -> dict:
     best = ""
     from repro.scenarios.spec import canonical_json
 
-    for backend, workers in (("serial", 1), ("thread", 4)):
+    for backend, workers in (("serial", 1), ("process", 4)):
         runner = FleetRunner(workers=workers, backend=backend)
         t0 = time.perf_counter()
         result = runner.run_grid(fleet, grids)
@@ -370,7 +370,7 @@ def _measure_fleet_grid() -> dict:
         **{f"{b}_s": round(t, 6) for b, t in timings.items()},
         **{f"{b}_candidates_per_s": round(candidates / t, 2)
            for b, t in timings.items()},
-        "backends_identical": payloads["serial"] == payloads["thread"],
+        "backends_identical": payloads["serial"] == payloads["process"],
         "merge_exact": merge_exact,
         "best": best,
     }
@@ -414,7 +414,7 @@ def _measure_serve() -> dict:
 
     with tempfile.TemporaryDirectory() as root:
         service = ServeService(ResultStore(root), workers=2,
-                               backend="thread")
+                               backend="serial")
         with ServerThread(service) as live:
             miss_s, first = _post_all(live)
             hit_s, repeat = _post_all(live)
@@ -569,7 +569,7 @@ def _measure_sweep() -> dict:
     specs = all_scenarios()
     timings = {}
     outcomes = {}
-    for backend, workers in (("serial", 1), ("thread", 4), ("process", 4)):
+    for backend, workers in (("serial", 1), ("process", 4)):
         runner = ScenarioRunner(workers=workers, backend=backend)
         t0 = time.perf_counter()
         sweep = runner.run_batch(specs)
@@ -581,8 +581,7 @@ def _measure_sweep() -> dict:
         **{f"{b}_s": round(t, 6) for b, t in timings.items()},
         **{f"{b}_scenarios_per_s": round(len(specs) / t, 2)
            for b, t in timings.items()},
-        "backends_identical": (outcomes["serial"] == outcomes["thread"]
-                               == outcomes["process"]),
+        "backends_identical": outcomes["serial"] == outcomes["process"],
     }
 
 
@@ -681,11 +680,10 @@ def test_sim_throughput_bench(print_rows):
          f"(spawn {pool['spawn_s']:.2f}s, reused {pool['pool_reused']}, "
          f"gate {pool['gate_passed']})"),
         ("sweep scenarios/s", f"{sweep['serial_scenarios_per_s']} (serial)",
-         f"thread {sweep['thread_scenarios_per_s']} / "
          f"process {sweep['process_scenarios_per_s']}"),
         ("policy grid points/s",
          f"{grid['serial_points_per_s']} (serial, {grid['points']} pts)",
-         f"thread {grid['thread_points_per_s']} "
+         f"process {grid['process_points_per_s']} "
          f"(best {grid['best']})"),
         ("fleet wearers/s",
          f"{fleet['serial_wearers_per_s']} (serial, "
@@ -699,7 +697,7 @@ def test_sim_throughput_bench(print_rows):
         ("fleet grid cand/s",
          f"{fleet_grid['serial_candidates_per_s']} (serial, "
          f"{fleet_grid['candidates']} cands x {fleet_grid['wearers']}w)",
-         f"thread {fleet_grid['thread_candidates_per_s']} "
+         f"process {fleet_grid['process_candidates_per_s']} "
          f"(merge_exact {fleet_grid['merge_exact']})"),
         ("serve requests/s",
          f"{serve['miss_requests_per_s']} (miss, "

@@ -43,7 +43,7 @@ def main() -> None:
         sampler=SamplerSpec("daily_jitter", {"lux_sigma": 0.5}),
         description="12 commuters, five jittered days",
     )
-    result = run_fleet(fleet, workers=4, backend="thread")
+    result = run_fleet(fleet, workers=4, backend="process")
     print(result.format_summary())
 
     # 2. Every wearer is inspectable: regenerate wearer 7's scenario
@@ -67,7 +67,9 @@ def main() -> None:
           f"(p5 final SoC {100 * best.result.final_soc.p5:.1f}%)")
 
     # 4. Third-party samplers plug in like any other component.  A
-    #    "basement week": the wearer never sees daylight.
+    #    "basement week": the wearer never sees daylight.  Registered
+    #    at runtime, it is invisible to spawned pool workers, so this
+    #    fleet runs on the serial backend.
     @register_sampler("basement_week")
     def build_basement_week(params):
         class BasementWeek:
@@ -81,7 +83,7 @@ def main() -> None:
 
     dark = run_fleet(fleet.replace(name="example_basement",
                                    sampler=SamplerSpec("basement_week")),
-                     backend="thread")
+                     backend="serial")
     print(f"\nbasement fleet: {100 * dark.fraction_energy_neutral:.0f}% "
           f"energy-neutral, p5 final SoC "
           f"{100 * dark.final_soc.p5:.1f}% (TEG-only survival)")

@@ -41,7 +41,9 @@ def main() -> None:
           f"({decision.mode})")
 
     # 2. The full grid over two very different days.
-    runner = ScenarioRunner(workers=4, backend="thread")
+    # Grid points are independent scenarios: the process pool runs
+    # them on every core (built-in policies only — see the docs).
+    runner = ScenarioRunner(workers=4, backend="process")
     for scenario_name in ("cloudy_week_multi_day", "dead_battery_cold_start"):
         scenario = get_scenario(scenario_name)
         result = runner.run_grid(scenario, GRIDS)

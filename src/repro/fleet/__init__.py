@@ -11,10 +11,10 @@ them to population statistics.
   (``@register_sampler``) and built-ins (``identity``,
   ``daily_jitter``, ``cloudy_streaks``);
 * :mod:`repro.fleet.population` — deterministic per-wearer scenario
-  generation (``random.Random(seed + index)``, sampled before any
-  fan-out);
+  generation (``random.Random(seed + index)``, a pure function of the
+  spec wherever it runs);
 * :mod:`repro.fleet.runner` — :class:`FleetRunner` over the
-  serial/thread/process/vector backends, the paired policy comparison
+  serial/process/vector backends, the paired policy comparison
   :meth:`FleetRunner.compare`, the fleet-level policy grid search
   :meth:`FleetRunner.run_grid`, and sharded execution
   (``run(fleet, shard=(i, N))``);

@@ -6,7 +6,7 @@ Naming convention mirrors the scenario library: lowercase
 variants belong in the spec.
 
 Every fleet here is asserted runnable (and its determinism pinned) by
-``tests/fleet``; keep new entries small enough that a thread-backend
+``tests/fleet``; keep new entries small enough that a serial-backend
 run stays interactive.
 """
 

@@ -77,7 +77,7 @@ def _task_count_of(kind: str, spec) -> int:
 def plan_manifest(kind: str, spec, shard_count: int,
                   timeout_s: float = 600.0, max_attempts: int = 3,
                   backoff_s: float = 1.0, workers: int = 1,
-                  backend: str = "thread") -> dict[str, Any]:
+                  backend: str = "serial") -> dict[str, Any]:
     """The manifest payload for a fresh campaign.
 
     Args:

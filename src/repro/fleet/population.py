@@ -1,13 +1,14 @@
 """Turn a :class:`FleetSpec` into per-wearer scenario specs.
 
 This is the deterministic heart of the fleet subsystem: every wearer's
-environment is sampled *here, in the calling process*, from
-``random.Random(seed + index)``, and the result is an ordinary
-self-contained :class:`~repro.scenarios.spec.ScenarioSpec` with inline
-segments.  The sweep backends then only ever see fully-materialized
-JSON-shippable specs — which is why a fleet's outcome is
-bitwise-identical across ``serial``/``thread``/``process`` and across
-runs.
+environment is sampled from ``random.Random(seed + index)``, and the
+result is an ordinary self-contained
+:class:`~repro.scenarios.spec.ScenarioSpec` with inline segments.
+Sampling is a pure function of the fleet spec and the index, so it can
+happen wherever a wearer runs — in the calling process, in a pool
+worker (:func:`run_wearer_chunk`) or in the parent ahead of the vector
+engine — which is why a fleet's outcome is bitwise-identical across
+``serial``/``process``/``vector`` and across runs.
 
 The base scenario's timeline (built once) is the *template*: the
 sampler perturbs one copy per repetition until the wearer's segments
@@ -23,7 +24,7 @@ import os
 import random
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.errors import RegistryError, SpecError
+from repro.errors import SpecError
 from repro.fleet.samplers import build_sampler
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.builder import build_timeline
@@ -171,53 +172,39 @@ def wearer_scenarios(fleet: FleetSpec,
 
 def run_wearer_chunk(context: Mapping[str, Any],
                      items: Sequence[int]) -> list[dict]:
-    """Pool chunk handler: wearer indices in, outcome dicts out.
+    """Chunk handler: wearer indices in, outcome dicts out.
 
     The fleet half of the chunked-dispatch protocol
-    (:mod:`repro.pool`): the parent broadcasts the :class:`FleetSpec`
-    dict (plus an optional replacement ``"policy"`` for paired
-    comparisons and the forwarded ``"crash"`` test hook) once per
-    chunk, and ships only wearer indices per item.  The worker
-    rematerializes each wearer from ``random.Random(seed + index)`` —
-    deterministic, so the outcomes are bitwise-identical to a parent
-    materialization — and runs it.  Because the worker resolves the
-    base scenario and sampler by name in its own fresh ``import
-    repro``, runtime-registered components raise the process backend's
-    usual explanatory :class:`~repro.errors.SpecError`.
-
-    Runs unchanged in-process; the chunked-vs-unchunked identity tests
-    call it directly.
+    (:func:`repro.pool.execute`): the context carries the
+    :class:`FleetSpec` dict, plus an optional replacement ``"policy"``
+    for paired comparisons and, on the pool path only, the forwarded
+    ``"crash"`` test hook; items are bare wearer indices.  Each wearer
+    is materialized from ``random.Random(seed + index)`` — deterministic,
+    so the outcomes are identical wherever the handler runs: in the
+    calling process on the serial backend, or in a pool worker that
+    resolves the base scenario and sampler by name in its own fresh
+    ``import repro``.
     """
     # Deferred: repro.scenarios.runner imports stay off the fleet
     # module's import path until a chunk actually runs.
     from repro.scenarios.runner import run_scenario
 
     fleet = FleetSpec.from_dict(context["fleet"])
-    crash = context.get("crash") or os.environ.get("REPRO_WORKER_CRASH")
-    try:
-        base = get_scenario(fleet.base_scenario)
-        if context.get("policy") is not None:
-            base = dataclasses.replace(
-                base,
-                system=dataclasses.replace(
-                    base.system,
-                    policy=PolicySpec.from_dict(context["policy"])))
-        template = template_segments(base)
-        results = []
-        for index in items:
-            spec = wearer_scenario(fleet, index, base=base,
-                                   template=template)
-            if crash and crash == spec.name:
-                # Same testable-crash hook as the scenario path: die
-                # like an OOM-killed worker would.
-                os._exit(13)
-            results.append(run_scenario(spec).to_dict())
-        return results
-    except RegistryError as exc:
-        raise SpecError(
-            f"fleet {fleet.name!r} cannot run on the process backend: "
-            f"{exc}. Worker processes import repro fresh, so only "
-            "components registered at import time are visible; runtime "
-            "@register_* registrations require the thread or serial "
-            "backend."
-        ) from None
+    crash = context.get("crash")
+    base = get_scenario(fleet.base_scenario)
+    if context.get("policy") is not None:
+        base = dataclasses.replace(
+            base,
+            system=dataclasses.replace(
+                base.system,
+                policy=PolicySpec.from_dict(context["policy"])))
+    template = template_segments(base)
+    results = []
+    for index in items:
+        spec = wearer_scenario(fleet, index, base=base, template=template)
+        if crash == spec.name:
+            # Same testable-crash hook as the scenario path: die like
+            # an OOM-killed worker would.
+            os._exit(13)
+        results.append(run_scenario(spec).to_dict())
+    return results

@@ -1,20 +1,20 @@
-"""Fan a fleet out over the sweep backends and reduce the population.
+"""Fan a fleet out over the execution backends and reduce the population.
 
-:class:`FleetRunner` is a thin orchestration layer over
-:class:`~repro.scenarios.runner.ScenarioRunner`: it materializes every
-wearer's scenario (:mod:`repro.fleet.population`), runs the batch on
-the chosen backend, and reduces the per-wearer outcomes into a
-:class:`~repro.fleet.result.FleetResult`.  On the process backend the
-materialization itself moves into the shared worker pool
-(:mod:`repro.pool`): the fleet spec is broadcast once per chunk, bare
-wearer indices ride as items, and each worker samples its own wearers
-from ``random.Random(seed + index)``.  Sampling is a pure function of
-the spec either way, so the result's canonical payload is identical on
-every backend — the backends only change how fast you get it.  On top
-of the scenario sweep pools, fleets can run on the fleet-only
-``"vector"`` backend (:mod:`repro.fleet.vector`), which steps the
-whole population as numpy arrays and reproduces the scalar engine's
-payload bitwise.
+:class:`FleetRunner` sweeps every wearer of a
+:class:`~repro.fleet.spec.FleetSpec` and reduces the per-wearer
+outcomes into a :class:`~repro.fleet.result.FleetResult`.  On the
+``"serial"`` and ``"process"`` backends the sweep goes through the pool
+dispatcher (:func:`repro.pool.execute`): the fleet spec is the chunk
+context, bare wearer indices are the items, and the chunk handler
+(:func:`~repro.fleet.population.run_wearer_chunk`) samples each wearer
+from ``random.Random(seed + index)`` — in the calling process or in a
+shared pool worker.  Sampling is a pure function of the spec either
+way, so the result's canonical payload is identical on every backend —
+the backends only change how fast you get it.  The fleet-only
+``"vector"`` backend (:mod:`repro.fleet.vector`) materializes the
+wearer scenarios in the parent, once per study, and steps the whole
+population as numpy arrays, reproducing the scalar engine's payload
+bitwise.
 
 :meth:`FleetRunner.compare` reruns the *same sampled population* under
 candidate power policies (every wearer's environment is held fixed
@@ -38,7 +38,6 @@ partition to a result bitwise-identical to the unsharded run.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -50,19 +49,19 @@ from repro.fleet.result import FleetResult, PartialFleetResult, WearerRecord
 from repro.fleet.spec import FleetSpec
 from repro.fleet.vector import run_batch_vector
 from repro.policies.grid import PolicyGrid, expand_grids, policy_label
-from repro.scenarios.runner import BACKENDS as SCENARIO_BACKENDS
-from repro.scenarios.runner import (ScenarioOutcome, ScenarioRunner,
-                                    SweepResult)
+from repro.pool import BACKENDS as POOL_BACKENDS
+from repro.pool import check_backend, check_workers, execute, name_span
+from repro.scenarios.runner import ScenarioOutcome, SweepResult
 from repro.scenarios.spec import PolicySpec, canonical_json
 
 __all__ = ["BACKENDS", "FleetRunner", "ComparisonEntry", "FleetComparison",
            "FleetGridResult", "run_fleet"]
 
-#: Every backend a fleet study can run on: the scenario sweep backends
-#: plus the fleet-only ``"vector"`` array engine
+#: Every backend a fleet study can run on: the pool dispatcher's
+#: backends plus the fleet-only ``"vector"`` array engine
 #: (:mod:`repro.fleet.vector`).  All of them produce bitwise-identical
 #: canonical payloads; they only change how fast you get them.
-BACKENDS = (*SCENARIO_BACKENDS, "vector")
+BACKENDS = (*POOL_BACKENDS, "vector")
 
 
 @dataclass(frozen=True)
@@ -170,10 +169,9 @@ class FleetRunner:
     """Executes fleet studies, optionally in parallel.
 
     Args:
-        workers: worker count handed to the underlying
-            :class:`~repro.scenarios.runner.ScenarioRunner`.
-        backend: ``"serial"``, ``"thread"`` (default), ``"process"``
-            or ``"vector"``.  Fleet wearer scenarios are always
+        workers: worker count for the process backend.
+        backend: ``"serial"`` (default), ``"process"`` or
+            ``"vector"``.  Fleet wearer scenarios are always
             self-contained (inline segments, import-time components),
             so every backend works for every fleet — the process pool
             is the right choice from roughly a hundred wearer-weeks
@@ -183,112 +181,52 @@ class FleetRunner:
             wearer when it cannot).
     """
 
-    def __init__(self, workers: int = 4, backend: str = "thread") -> None:
-        if backend not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {backend!r}; known: {list(BACKENDS)}")
-        # The vector engine needs no scenario runner of its own; keep a
-        # serial one around for per-call backend overrides.
-        scenario_backend = (backend if backend in SCENARIO_BACKENDS
-                            else "serial")
-        self._runner = ScenarioRunner(workers=workers,
-                                      backend=scenario_backend)
-        self.workers = workers
-        self.backend = backend
-
-    def _sweep(self, specs, workers: int | None, backend: str | None):
-        """Run one batch on the chosen backend (the dispatch point).
-
-        ``backend=None`` means the runner's own; ``"vector"`` routes to
-        :func:`~repro.fleet.vector.run_batch_vector`, everything else
-        to the scenario runner's pools.
-        """
-        chosen = self.backend if backend is None else backend
-        if chosen not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {chosen!r}; known: {list(BACKENDS)}")
-        if chosen == "vector":
-            return run_batch_vector(specs)
-        return self._runner.run_batch(specs, workers=workers,
-                                      backend=chosen)
+    def __init__(self, workers: int = 4, backend: str = "serial") -> None:
+        self.workers = check_workers(workers)
+        self.backend = check_backend(backend, BACKENDS)
 
     def _sweep_wearers(self, fleet: FleetSpec, indices: Sequence[int],
-                       policy: PolicySpec | None,
+                       policies: Sequence[PolicySpec | None],
                        workers: int | None,
-                       backend: str | None) -> SweepResult:
-        """Sweep the given wearers, materializing where it is cheapest.
+                       backend: str | None) -> list[SweepResult]:
+        """Sweep the given wearers once per policy (``None`` keeps the
+        base scenario's own).
 
-        On the process backend the wearer scenarios are *not* built in
-        the parent: the shared pool (:mod:`repro.pool`) broadcasts the
-        fleet spec once per chunk and ships bare wearer indices, and
-        the workers rematerialize their own wearers from
-        ``random.Random(seed + index)`` — deterministic, so the result
-        is bitwise-identical to parent materialization at a fraction
-        of the dispatch payload.  Every other backend keeps the
-        materialize-in-parent path (threads share memory; the vector
-        engine wants the full spec list).  Trivial runs (one wearer,
-        one worker) fall through to :meth:`ScenarioRunner.run_batch`,
-        which routes them serially and records the effective backend.
+        The vector engine wants full specs, so the wearers are
+        materialized in the parent once and reused across policies.
+        Every other backend hands the fleet spec and bare indices to
+        :func:`repro.pool.execute`, whose handler samples the wearers
+        wherever it runs.
         """
-        chosen = self.backend if backend is None else backend
-        if chosen not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {chosen!r}; known: {list(BACKENDS)}")
-        n = self.workers if workers is None else workers
-        if chosen == "process" and len(indices) > 1 and n > 1:
-            return self._sweep_wearers_pooled(fleet, indices, policy, n)
-        specs = wearer_scenarios(fleet, indices)
-        if policy is not None:
-            specs = [
-                dataclasses.replace(
-                    spec,
-                    system=dataclasses.replace(spec.system, policy=policy))
-                for spec in specs
-            ]
-        return self._sweep(specs, workers, chosen)
-
-    def _sweep_wearers_pooled(self, fleet: FleetSpec,
-                              indices: Sequence[int],
-                              policy: PolicySpec | None,
-                              n: int) -> SweepResult:
-        """The process-backend fleet path: indices through the pool."""
-        from repro.pool import WorkerCrash, get_shared_pool
-
-        if n < 1:
-            raise SpecError("worker count must be at least 1")
-        started = time.perf_counter()
+        chosen = check_backend(self.backend if backend is None else backend,
+                               BACKENDS)
         indices = list(indices)
-        context: dict[str, Any] = {"fleet": fleet.to_dict()}
-        if policy is not None:
-            context["policy"] = policy.to_dict()
-        crash = os.environ.get("REPRO_WORKER_CRASH")
-        if crash:
-            context["crash"] = crash
-        pool = get_shared_pool()
-        try:
-            results = pool.run_chunked("fleet", context, indices,
-                                       chunks=min(n, len(indices)))
-        except WorkerCrash as exc:
-            names = [wearer_name(fleet, indices[i]) for i in exc.indices]
-            if len(names) <= 3:
-                span = ", ".join(repr(name) for name in names)
-            else:
-                span = (f"{names[0]!r} .. {names[-1]!r} "
-                        f"({len(names)} wearers)")
-            raise SpecError(
-                f"process-backend worker died while running chunk "
-                f"{exc.chunk_index + 1}/{exc.chunk_count} of fleet "
-                f"{fleet.name!r} — wearers {span}. A worker killed "
-                "mid-fleet (OOM, signal) breaks the pool this way, as "
-                "does a launching script without the standard "
-                "`if __name__ == '__main__':` guard; see the chained "
-                "exception. The shared pool respawns on the next "
-                "batch; the thread backend avoids both."
-            ) from exc
-        outcomes = tuple(ScenarioOutcome.from_dict(payload)
-                         for payload in results)
-        return SweepResult(outcomes=outcomes, backend="process",
-                           wall_time_s=time.perf_counter() - started)
+        if chosen == "vector":
+            specs = wearer_scenarios(fleet, indices)
+            return [run_batch_vector(_with_policy(specs, policy))
+                    for policy in policies]
+        n = self.workers if workers is None else workers
+        payload = fleet.to_dict()
+
+        def describe(positions: Sequence[int]) -> str:
+            return f"fleet {fleet.name!r} " + name_span(
+                "wearers", [repr(wearer_name(fleet, indices[i]))
+                            for i in positions])
+
+        sweeps = []
+        for policy in policies:
+            started = time.perf_counter()
+            context: dict[str, Any] = {"fleet": payload}
+            if policy is not None:
+                context["policy"] = policy.to_dict()
+            results, used = execute("fleet", context, indices,
+                                    backend=chosen, workers=n,
+                                    describe=describe)
+            sweeps.append(SweepResult(
+                outcomes=tuple(ScenarioOutcome.from_dict(outcome)
+                               for outcome in results),
+                backend=used, wall_time_s=time.perf_counter() - started))
+        return sweeps
 
     def run(self, fleet: FleetSpec,
             workers: int | None = None,
@@ -310,8 +248,8 @@ class FleetRunner:
         bitwise — run shards on as many machines as you like.
         """
         if shard is None:
-            sweep = self._sweep_wearers(fleet, range(fleet.n_wearers),
-                                        None, workers, backend)
+            sweep, = self._sweep_wearers(fleet, range(fleet.n_wearers),
+                                         [None], workers, backend)
             return FleetResult.from_outcomes(fleet, sweep.outcomes,
                                              backend=sweep.backend,
                                              wall_time_s=sweep.wall_time_s)
@@ -322,7 +260,8 @@ class FleetRunner:
                 f"shard must be an (index, count) pair, got {shard!r}"
             ) from None
         indices = shard_indices(fleet, shard_index, shard_count)
-        sweep = self._sweep_wearers(fleet, indices, None, workers, backend)
+        sweep, = self._sweep_wearers(fleet, indices, [None], workers,
+                                     backend)
         records = tuple(
             WearerRecord.from_outcome(index, outcome)
             for index, outcome in zip(indices, sweep.outcomes))
@@ -343,45 +282,23 @@ class FleetRunner:
         """Rerun one sampled population under each labelled candidate.
 
         The paired-experiment core shared by :meth:`compare` and
-        :meth:`run_grid`: the population is sampled once, and every
-        candidate sees exactly the same wearer environments with only
-        ``system.policy`` replaced per wearer scenario.  (On the
-        process backend the sampling happens worker-side per
-        candidate — identical environments either way, since wearer
-        sampling is a pure function of ``seed + index``.)
+        :meth:`run_grid`: every candidate sees exactly the same wearer
+        environments with only ``system.policy`` replaced per wearer
+        scenario (wearer sampling is a pure function of
+        ``seed + index``, wherever it runs).
         """
-        chosen = self.backend if backend is None else backend
-        if chosen not in BACKENDS:
-            raise SpecError(
-                f"unknown backend {chosen!r}; known: {list(BACKENDS)}")
-        n = self.workers if workers is None else workers
-        pooled = chosen == "process" and fleet.n_wearers > 1 and n > 1
-        base_specs = None if pooled else wearer_scenarios(fleet)
         started = time.perf_counter()
-        entries = []
-        used = chosen
-        for label, policy in candidates:
-            if pooled:
-                sweep = self._sweep_wearers_pooled(
-                    fleet, range(fleet.n_wearers), policy, n)
-            else:
-                specs = [
-                    dataclasses.replace(
-                        spec,
-                        system=dataclasses.replace(spec.system,
-                                                   policy=policy))
-                    for spec in base_specs
-                ]
-                sweep = self._sweep(specs, workers, chosen)
-            used = sweep.backend
-            entries.append(ComparisonEntry(
-                label=label,
-                policy=policy,
+        sweeps = self._sweep_wearers(
+            fleet, range(fleet.n_wearers),
+            [policy for _, policy in candidates], workers, backend)
+        entries = tuple(
+            ComparisonEntry(
+                label=label, policy=policy,
                 result=FleetResult.from_outcomes(
                     fleet, sweep.outcomes, backend=sweep.backend,
-                    wall_time_s=sweep.wall_time_s),
-            ))
-        return tuple(entries), used, time.perf_counter() - started
+                    wall_time_s=sweep.wall_time_s))
+            for (label, policy), sweep in zip(candidates, sweeps))
+        return entries, sweeps[-1].backend, time.perf_counter() - started
 
     def compare(self, fleet: FleetSpec,
                 policies: Sequence[PolicySpec],
@@ -450,6 +367,15 @@ class FleetRunner:
 
 
 def run_fleet(fleet: FleetSpec, workers: int = 4,
-              backend: str = "thread") -> FleetResult:
+              backend: str = "serial") -> FleetResult:
     """One-shot convenience: ``FleetRunner(...).run(fleet)``."""
     return FleetRunner(workers=workers, backend=backend).run(fleet)
+
+
+def _with_policy(specs: Sequence, policy: PolicySpec | None) -> list:
+    """``specs`` with ``system.policy`` replaced (``None``: unchanged)."""
+    if policy is None:
+        return list(specs)
+    return [dataclasses.replace(
+                spec, system=dataclasses.replace(spec.system, policy=policy))
+            for spec in specs]

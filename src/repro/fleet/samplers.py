@@ -20,7 +20,7 @@ Factory and state contract
 * Samplers must be pure functions of ``(params, rng draws)``: no wall
   clocks, no global randomness.  That is what makes a
   :class:`~repro.fleet.spec.FleetSpec` bitwise-reproducible across
-  runs and across the serial/thread/process backends.
+  runs and across the serial/process/vector backends.
 """
 
 from __future__ import annotations

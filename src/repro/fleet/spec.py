@@ -9,9 +9,9 @@ master ``seed``, and the :class:`SamplerSpec` naming the registered
 wearer's environment.
 
 Reproducibility contract: wearer ``i`` draws every random number from
-``random.Random(seed + i)``, and all sampling happens *before* the
-sweep fans out — the per-wearer scenarios ship to the serial, thread
-and process backends as identical JSON payloads.  The same
+``random.Random(seed + i)``, so a wearer's scenario is a pure function
+of the spec and its index — identical whether the serial backend, a
+process-pool worker or the vector engine materializes it.  The same
 :class:`FleetSpec` therefore yields a bitwise-identical
 :class:`~repro.fleet.result.FleetResult` on every backend and across
 runs.

@@ -33,6 +33,16 @@ broken executor so the *next* batch self-heals onto fresh workers,
 and raises :class:`WorkerCrash` carrying the dead chunk's item
 positions so callers can name the scenarios that were in flight.
 
+One dispatcher, :func:`execute`, is the only way the runners reach
+the pool.  It validates the backend (``"serial"`` or ``"process"``)
+and worker count, runs trivial batches (the serial backend, one
+worker, at most one item) through the *same* chunk handler in-process,
+forwards the ``REPRO_WORKER_CRASH`` test hook into the chunk context
+on the pool path only, turns a :class:`WorkerCrash` into the one
+:class:`~repro.errors.SpecError` naming the dead chunk's items, and
+reports which backend actually ran.  Scenario sweeps, fleet studies
+and chaos campaigns only build a context and an item list.
+
 Start methods: ``spawn`` (the default — identical registry-visibility
 semantics on every platform) or the opt-in ``forkserver``
 (``REPRO_POOL_START_METHOD=forkserver``), which forks workers from a
@@ -52,19 +62,28 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.errors import ReproError, SpecError
-from repro.pool.worker import run_chunk
+from repro.errors import RegistryError, ReproError, SpecError
+from repro.pool.worker import resolve_handler, run_chunk
 
 __all__ = [
+    "BACKENDS",
     "PoolStats",
     "WorkerCrash",
     "WorkerPool",
+    "check_backend",
+    "check_workers",
+    "execute",
     "get_shared_pool",
+    "name_span",
     "shared_pool_stats",
     "shutdown_shared_pool",
 ]
+
+#: The execution backends :func:`execute` dispatches to: the calling
+#: process, or the shared persistent worker pool.
+BACKENDS = ("serial", "process")
 
 #: Start methods the pool accepts.  ``fork`` is excluded on purpose:
 #: forked workers see the parent's runtime registrations, which would
@@ -74,6 +93,31 @@ START_METHODS = ("spawn", "forkserver")
 #: Environment knobs (read at :class:`WorkerPool` construction).
 WORKERS_ENV = "REPRO_POOL_WORKERS"
 START_METHOD_ENV = "REPRO_POOL_START_METHOD"
+
+#: Test hook: a pool worker dies (``os._exit``) when it reaches the
+#: item named here.  :func:`execute` forwards it in the chunk context
+#: (pool workers may predate the variable); inline runs never see it.
+CRASH_ENV = "REPRO_WORKER_CRASH"
+
+
+def check_backend(backend: str,
+                  known: Sequence[str] = BACKENDS) -> str:
+    """``backend`` if it is one of ``known``, else a SpecError."""
+    if backend not in known:
+        raise SpecError(
+            f"unknown backend {backend!r}; known: {list(known)}")
+    return backend
+
+
+def check_workers(workers: int) -> int:
+    """``workers`` if it is a positive integer, else a SpecError."""
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise SpecError(f"worker count must be an integer, "
+                        f"got {workers!r}")
+    if workers < 1:
+        raise SpecError(f"worker count must be at least 1, "
+                        f"got {workers}")
+    return workers
 
 
 def default_workers() -> int:
@@ -163,14 +207,8 @@ class WorkerPool:
 
     def __init__(self, workers: int | None = None,
                  start_method: str | None = None) -> None:
-        if workers is None:
-            workers = default_workers()
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise SpecError(f"worker count must be an integer, "
-                            f"got {workers!r}")
-        if workers < 1:
-            raise SpecError(f"worker count must be at least 1, "
-                            f"got {workers}")
+        workers = check_workers(
+            default_workers() if workers is None else workers)
         if start_method is None:
             start_method = os.environ.get(START_METHOD_ENV, "").strip() \
                 or "spawn"
@@ -284,33 +322,60 @@ class WorkerPool:
             for c in range(count)
         ]
         try:
-            futures = [executor.submit(run_chunk, payload)
-                       for payload in payloads]
+            futures = self._submit(executor, payloads)
         except RuntimeError:
             # A concurrent crash shut this executor down between
             # _ensure() and submit(); retry once on a fresh one.
             executor = self._ensure()
-            futures = [executor.submit(run_chunk, payload)
-                       for payload in payloads]
+            futures = self._submit(executor, payloads)
         results: list[Any] = [None] * len(items)
         batch_pids: set[int] = set()
-        for c, future in enumerate(futures):
-            try:
-                chunk = future.result()
-            except BrokenProcessPool:
+        for c in range(count):
+            chunk = None
+            if c < len(futures):
+                try:
+                    chunk = futures[c].result()
+                except BrokenProcessPool:
+                    pass
+            if chunk is None:
+                # The chunk died with its worker, or the broken pool
+                # refused it at submit.
                 self._discard_broken(executor)
                 raise WorkerCrash(indices=range(c, len(items), count),
-                                  chunk_index=c,
-                                  chunk_count=count) from None
+                                  chunk_index=c, chunk_count=count)
             batch_pids.add(chunk["pid"])
             results[c::count] = chunk["results"]
         with self._lock:
             self._batches += 1
             self._chunks += count
             self._tasks += len(items)
-            self._known_pids |= batch_pids
+            # Workers the executor spawned but that served no chunk yet
+            # (a fast sibling took them all) are known workers too.
+            self._known_pids |= batch_pids | set(
+                getattr(executor, "_processes", None) or ())
             self._last_batch_pids = frozenset(batch_pids)
         return results
+
+    @staticmethod
+    def _submit(executor: ProcessPoolExecutor,
+                payloads: Sequence[dict]) -> list:
+        """Futures for the leading payloads the executor accepts.
+
+        A worker that died after an earlier chunk was submitted breaks
+        the pool, and ``submit`` then raises ``BrokenProcessPool`` — a
+        ``RuntimeError`` subclass, so it must stop here rather than
+        reach the shutdown-race retry, which would hand back the same
+        broken executor.  The missing futures surface as a
+        :class:`WorkerCrash` in :meth:`run_chunked`, after the earlier
+        chunks have had the chance to name the dead one.
+        """
+        futures = []
+        for payload in payloads:
+            try:
+                futures.append(executor.submit(run_chunk, payload))
+            except BrokenProcessPool:
+                break
+        return futures
 
     # -- observability ------------------------------------------------
 
@@ -330,7 +395,7 @@ class WorkerPool:
 
     @property
     def known_pids(self) -> frozenset[int]:
-        """Every worker PID ever observed on this pool."""
+        """Every worker PID this pool has spawned or seen serve."""
         with self._lock:
             return frozenset(self._known_pids)
 
@@ -339,6 +404,81 @@ class WorkerPool:
         """The worker PIDs that served the most recent batch."""
         with self._lock:
             return self._last_batch_pids
+
+
+# -- the dispatcher ---------------------------------------------------
+
+
+def name_span(noun: str, names: Sequence[str]) -> str:
+    """``names`` under ``noun``, elided to first .. last beyond three.
+
+    >>> name_span("wearers", ["'a'", "'b'", "'c'", "'d'"])
+    "wearers 'a' .. 'd' (4 wearers)"
+    """
+    if len(names) <= 3:
+        return f"{noun} {', '.join(names)}"
+    return f"{noun} {names[0]} .. {names[-1]} ({len(names)} {noun})"
+
+
+def execute(kind: str, context: dict[str, Any], items: Sequence[Any], *,
+            backend: str, workers: int,
+            describe: Callable[[Sequence[int]], str],
+            ) -> tuple[list[Any], str]:
+    """Run ``items`` through the ``kind`` chunk handler on a backend.
+
+    Args:
+        kind: a handler key from :mod:`repro.pool.worker`.
+        context: the batch's broadcast payload.
+        items: per-item payloads, in order.
+        backend: ``"serial"`` or ``"process"``.
+        workers: worker count; also the ceiling on the chunk count.
+        describe: names the items at the given positions for error
+            messages, e.g. ``"wearers 'a', 'b'"`` (see
+            :func:`name_span`).
+
+    Returns:
+        ``(results, used)``: the handler's per-item results in input
+        order, and the backend that actually ran — ``"serial"`` when
+        the batch ran inline (serial backend, one worker, at most one
+        item), so a result's provenance stays honest.
+
+    Raises:
+        SpecError: bad backend or worker count; a pool worker died
+            (naming the dead chunk's items; the pool respawns on the
+            next batch); or a worker could not resolve a component
+            registered only at runtime in this process.
+    """
+    check_backend(backend)
+    check_workers(workers)
+    items = list(items)
+    if backend == "serial" or workers == 1 or len(items) <= 1:
+        results = resolve_handler(kind)(context, items) if items else []
+        return results, "serial"
+    crash = os.environ.get(CRASH_ENV)
+    if crash:
+        context = {**context, "crash": crash}
+    try:
+        results = get_shared_pool().run_chunked(
+            kind, context, items, chunks=min(workers, len(items)))
+    except WorkerCrash as exc:
+        raise SpecError(
+            f"process-backend worker died while running chunk "
+            f"{exc.chunk_index + 1}/{exc.chunk_count} — "
+            f"{describe(exc.indices)}. A worker killed mid-run (OOM, "
+            "signal) breaks the pool this way, as does a launching "
+            "script without the standard `if __name__ == '__main__':` "
+            "guard (spawned workers re-import it, and stdin/REPL "
+            "sessions cannot be re-imported at all); see the chained "
+            "exception. The shared pool respawns on the next batch; "
+            "the serial backend avoids both.") from exc
+    except RegistryError as exc:
+        raise SpecError(
+            f"{describe(range(len(items)))} cannot run on the process "
+            f"backend: {exc}. Worker processes import repro fresh, so "
+            "only components registered at import time are visible; "
+            "runtime @register_* registrations require the serial "
+            "backend.") from None
+    return results, "process"
 
 
 # -- the process-wide shared pool -------------------------------------

@@ -15,10 +15,9 @@ callers (tests, the bench, ``/stats``) can assert that consecutive
 batches were served by the same workers instead of trusting timing.
 
 Handlers are pure functions ``(context, items) -> list`` of
-JSON-ready values, registered here by dotted name.  They run
-unchanged in-process too — the chunked-vs-unchunked bitwise-identity
-tests call them directly — so the worker boundary adds no semantics,
-only transport.
+JSON-ready values, registered here by dotted name.  The serial backend
+runs the very same handlers in-process (:func:`repro.pool.execute`),
+so the worker boundary adds no semantics, only transport.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import SpecError
 
-__all__ = ["run_chunk", "warm_worker"]
+__all__ = ["resolve_handler", "run_chunk", "warm_worker"]
 
 #: kind -> "module:function" of the handler executing one chunk.
 #: Resolved lazily inside the worker; every handler module must be
@@ -60,7 +59,8 @@ def ping_chunk(context: Any, items: Sequence[Any]) -> list[Any]:
     return [None for _ in items]
 
 
-def _resolve(kind: str) -> Callable[[Any, Sequence[Any]], list]:
+def resolve_handler(kind: str) -> Callable[[Any, Sequence[Any]], list]:
+    """The chunk handler registered under ``kind`` (imported lazily)."""
     try:
         target = HANDLERS[kind]
     except KeyError:
@@ -73,7 +73,7 @@ def _resolve(kind: str) -> Callable[[Any, Sequence[Any]], list]:
 
 def run_chunk(payload: dict) -> dict:
     """Execute one chunk; the single function every pool future runs."""
-    handler = _resolve(payload["kind"])
+    handler = resolve_handler(payload["kind"])
     return {
         "pid": os.getpid(),
         "results": handler(payload["context"], payload["items"]),

@@ -78,9 +78,12 @@ class ServeService:
         store: the content-addressed :class:`ResultStore` (or a path
             to create one at).
         workers: worker count for the underlying runners.
-        backend: sweep backend executing the simulations — results are
-            backend-independent, so this only changes latency.
-            ``"process"`` rides the process-wide persistent pool
+        backend: sweep backend executing the simulations,
+            ``"serial"`` (default) or ``"process"`` — results are
+            backend-independent, so this only changes latency.  The
+            request threads of :mod:`repro.serve.app` give I/O
+            concurrency either way; ``"process"`` rides the
+            process-wide persistent pool
             (:func:`repro.pool.get_shared_pool`): the workers are
             spawned once for the service's lifetime and reused across
             every request, and ``/stats`` exposes their counters under
@@ -88,7 +91,7 @@ class ServeService:
     """
 
     def __init__(self, store: ResultStore | str, workers: int = 4,
-                 backend: str = "thread") -> None:
+                 backend: str = "serial") -> None:
         self.store = store if isinstance(store, ResultStore) \
             else ResultStore(store)
         self.runner = ScenarioRunner(workers=workers, backend=backend)

@@ -24,7 +24,8 @@ POLICIES_2 = (PolicySpec("static_duty_cycle"), PolicySpec("energy_aware"))
 
 @pytest.fixture(scope="module")
 def full_result():
-    return run_campaign(SPEC, workers=2, policies=POLICIES_2)
+    return run_campaign(SPEC, workers=2, backend="process",
+                        policies=POLICIES_2)
 
 
 class TestRunRecord:
@@ -73,14 +74,19 @@ class TestCampaignResult:
 
 
 class TestBackendsAgree:
-    def test_serial_equals_thread(self, full_result):
+    def test_serial_equals_process(self, full_result):
         serial = run_campaign(SPEC, backend="serial", policies=POLICIES_2)
+        assert full_result.backend == "process"
+        assert serial.backend == "serial"
         assert serial.canonical_json() == full_result.canonical_json()
 
-    def test_process_equals_thread(self, full_result):
-        process = run_campaign(SPEC, workers=2, backend="process",
-                               policies=POLICIES_2)
-        assert process.canonical_json() == full_result.canonical_json()
+    def test_one_worker_process_runs_inline(self, full_result):
+        """A one-worker process request runs the chunk handler in the
+        calling process and says so in its provenance."""
+        inline = run_campaign(SPEC, workers=1, backend="process",
+                              policies=POLICIES_2)
+        assert inline.backend == "serial"
+        assert inline.canonical_json() == full_result.canonical_json()
 
     def test_process_pool_pids_stable_across_runs(self, full_result):
         """Two consecutive runs on one runner must ride the same

@@ -1,16 +1,18 @@
 """Seeded determinism across backends — the fleet acceptance property.
 
 The same :class:`FleetSpec` must yield a bitwise-identical canonical
-:class:`FleetResult` payload whether the wearers ran serially, on the
-thread pool, or on spawned worker processes, and across repeated runs
-in one interpreter.  Sampling happens in the parent before any
-fan-out, and the simulation itself is deterministic, so any
-divergence here is a real ordering/serialization bug.
+:class:`FleetResult` payload whether the wearers ran serially or on
+spawned worker processes, and across repeated runs in one interpreter.
+Wearer sampling is a pure function of ``seed + index`` wherever it
+runs, and the simulation itself is deterministic, so any divergence
+here is a real ordering/serialization bug.
 """
 
 import json
 
-from repro.fleet import FleetSpec, SamplerSpec, run_fleet, wearer_scenarios
+from repro.fleet import (FleetRunner, FleetSpec, SamplerSpec, run_fleet,
+                         wearer_scenarios)
+from repro.scenarios.spec import PolicySpec
 
 FLEET = FleetSpec(name="determinism", base_scenario="sunny_office_worker",
                   n_wearers=5, horizon_days=2, seed=123,
@@ -23,10 +25,16 @@ def test_repeated_runs_identical_in_process():
     assert len(payloads) == 1
 
 
-def test_thread_matches_serial_bitwise():
-    serial = run_fleet(FLEET, workers=1, backend="serial")
-    threaded = run_fleet(FLEET, workers=4, backend="thread")
-    assert json.dumps(serial.to_dict()) == json.dumps(threaded.to_dict())
+def test_process_compare_matches_serial_bitwise():
+    """The paired comparison reruns the population once per policy;
+    every rerun must match the serial one byte for byte."""
+    policies = [PolicySpec("energy_aware"), PolicySpec("ewma_forecast")]
+    serial = FleetRunner(workers=1, backend="serial").compare(
+        FLEET, policies)
+    process = FleetRunner(workers=4, backend="process").compare(
+        FLEET, policies)
+    assert process.backend == "process"
+    assert json.dumps(serial.to_dict()) == json.dumps(process.to_dict())
 
 
 def test_process_matches_serial_bitwise():

@@ -25,7 +25,7 @@ SMALL = FleetSpec(name="small", base_scenario="sunny_office_worker",
 
 class TestRun:
     def test_two_runs_bitwise_identical(self):
-        first = run_fleet(SMALL, workers=2, backend="thread")
+        first = run_fleet(SMALL, workers=2, backend="process")
         second = run_fleet(SMALL, workers=1, backend="serial")
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 

@@ -80,8 +80,9 @@ class TestMergeExact:
     @pytest.mark.parametrize("count", PARTITIONS)
     def test_process_partition_merges_bitwise(self, count):
         """Shards on spawned workers still merge to the exact serial
-        unsharded payload — sampling happens in the parent, and shard
-        outcomes cross the pool as JSON just like full runs do."""
+        unsharded payload — workers sample their own wearers from
+        ``seed + index``, and shard outcomes cross the pool as JSON
+        just like full runs do."""
         serial_full = FleetRunner(workers=1, backend="serial").run(FLEET)
         runner = FleetRunner(workers=2, backend="process")
         parts = [_round_trip(runner.run(FLEET, shard=(index, count)))

@@ -225,6 +225,86 @@ class TestPoolLifecycle:
             pool.shutdown()
 
 
+class _BrokenAfter:
+    """A stub executor: hands out ``futures`` in order, then refuses
+    every further chunk with ``BrokenProcessPool`` — what a real
+    executor does once a worker of an earlier chunk has died."""
+
+    def __init__(self, *futures):
+        self.futures = list(futures)
+        self.shut_down = False
+
+    def submit(self, fn, payload):
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not self.futures:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        return self.futures.pop(0)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+
+class TestBrokenPoolAtSubmit:
+    """``BrokenProcessPool`` subclasses ``RuntimeError``; at submit it
+    must surface as a WorkerCrash and discard the executor, never reach
+    the shutdown-race retry (which would resubmit to the same broken
+    executor and leak a raw ``BrokenProcessPool``)."""
+
+    @staticmethod
+    def _pool_with(executor) -> WorkerPool:
+        pool = WorkerPool(workers=2)
+        pool._executor = executor
+        return pool
+
+    def test_refused_first_chunk_is_a_worker_crash(self):
+        stub = _BrokenAfter()
+        pool = self._pool_with(stub)
+        try:
+            with pytest.raises(WorkerCrash) as excinfo:
+                pool.run_chunked("ping", None, [0, 1, 2])
+            assert excinfo.value.chunk_index == 0
+            assert list(excinfo.value.indices) == [0, 2]
+            assert stub.shut_down and pool.started is False
+            assert pool.stats.crashes == 1
+            # Self-healing: the next dispatch gets a fresh executor.
+            assert pool._ensure() is not stub
+        finally:
+            pool.shutdown()
+
+    def test_earlier_dead_chunk_is_the_one_named(self):
+        """A worker dies on chunk 0 before chunk 1 is submitted: the
+        crash names chunk 0, whose items were in flight."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        died = Future()
+        died.set_exception(BrokenProcessPool("worker died"))
+        pool = self._pool_with(_BrokenAfter(died))
+        try:
+            with pytest.raises(WorkerCrash) as excinfo:
+                pool.run_chunked("ping", None, [0, 1])
+            assert excinfo.value.chunk_index == 0
+            assert list(excinfo.value.indices) == [0]
+        finally:
+            pool.shutdown()
+
+    def test_refused_later_chunk_is_named_after_earlier_ones_finish(self):
+        from concurrent.futures import Future
+
+        done = Future()
+        done.set_result({"pid": os.getpid(), "results": [None]})
+        pool = self._pool_with(_BrokenAfter(done))
+        try:
+            with pytest.raises(WorkerCrash) as excinfo:
+                pool.run_chunked("ping", None, [0, 1])
+            assert excinfo.value.chunk_index == 1
+            assert list(excinfo.value.indices) == [1]
+            assert pool.stats.crashes == 1
+        finally:
+            pool.shutdown()
+
+
 class TestConfiguration:
     def test_worker_count_validation(self):
         with pytest.raises(SpecError, match="at least 1"):

@@ -62,15 +62,15 @@ class TestRunBatch:
 
 class TestSweepMetadata:
     def test_backend_and_wall_time_recorded(self, batch_specs):
-        sweep = ScenarioRunner(workers=4, backend="thread").run_batch(
+        sweep = ScenarioRunner(workers=4, backend="process").run_batch(
             batch_specs)
-        assert sweep.backend == "thread"
+        assert sweep.backend == "process"
         assert sweep.wall_time_s > 0.0
 
     def test_inline_degenerate_run_reports_serial(self, batch_specs):
-        """A thread request with one worker runs inline; the metadata
+        """A process request with one worker runs inline; the metadata
         must say what actually happened."""
-        sweep = ScenarioRunner(workers=1, backend="thread").run_batch(
+        sweep = ScenarioRunner(workers=1, backend="process").run_batch(
             batch_specs[:2])
         assert sweep.backend == "serial"
 
@@ -153,3 +153,63 @@ class TestWorkerCrashSurfacing:
             [spec, get_scenario("dead_battery_cold_start")])
         assert sweep.backend == "process"
         assert len(sweep.outcomes) == 2
+
+
+class TestThreadBackendRemoved:
+    """``"thread"`` ran CPU-bound simulations under the GIL and lost to
+    serial; it is no longer a backend anywhere, and asking for it gets
+    the ordinary unknown-backend error."""
+
+    MESSAGE = r"unknown backend 'thread'; known: \["
+
+    def test_runners_reject_thread(self, batch_specs):
+        from repro.chaos import ChaosRunner, ChaosSpec
+        from repro.fleet import FleetRunner, FleetSpec
+
+        for runner in (ScenarioRunner, FleetRunner, ChaosRunner):
+            with pytest.raises(SpecError, match=self.MESSAGE):
+                runner(workers=2, backend="thread")
+        with pytest.raises(SpecError, match=self.MESSAGE):
+            ScenarioRunner(workers=2).run_batch(batch_specs,
+                                                backend="thread")
+        fleet = FleetSpec(name="no_threads", base_scenario="night_shift",
+                          n_wearers=2, horizon_days=1)
+        with pytest.raises(SpecError, match=self.MESSAGE):
+            FleetRunner(workers=2).run(fleet, backend="thread")
+        campaign = ChaosSpec(name="no_threads", n_cases=1, horizon_days=1)
+        with pytest.raises(SpecError, match=self.MESSAGE):
+            ChaosRunner(workers=2).run(campaign, backend="thread")
+
+    def test_serve_rejects_thread(self, tmp_path):
+        from repro.serve import ServeService
+
+        with pytest.raises(SpecError, match=self.MESSAGE):
+            ServeService(tmp_path / "store", backend="thread")
+
+    def test_cli_rejects_thread(self, capsys):
+        from repro.cli import main
+
+        for argv in (["sweep", "night_shift"],
+                     ["search", "night_shift"],
+                     ["fleet", "run", "office_cohort_week"],
+                     ["fleet", "orchestrate", "ws"],
+                     ["chaos", "run", "cases.json"],
+                     ["serve", "--smoke"],
+                     ["learn", "eval", "policy.json"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "--backend", "thread"])
+            assert excinfo.value.code == 2
+            assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    def test_cli_choices_match_the_pool(self):
+        from repro.cli import BACKENDS as CLI_BACKENDS
+        from repro.pool import BACKENDS
+
+        assert CLI_BACKENDS == BACKENDS
+
+    def test_defaults_are_serial(self):
+        from repro.chaos import ChaosRunner
+        from repro.fleet import FleetRunner
+
+        for runner in (ScenarioRunner, FleetRunner, ChaosRunner):
+            assert runner().backend == "serial"
